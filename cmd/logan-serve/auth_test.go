@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"logan"
+	"logan/internal/cluster"
+	"logan/internal/telemetry"
 )
 
 // writeKeys writes an API key file for tests.
@@ -225,5 +228,43 @@ beta-key  beta 0.001 4
 	jresp.Body.Close()
 	if jresp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("jobs unknown key: status %d, want 401", jresp.StatusCode)
+	}
+}
+
+// TestJobsTenantAttribution: with a key file and -job-coalesce, a job's
+// extension chunks reach the coalescer under the submitter's tenant, so
+// its quota and fair share apply and its pairs land in that tenant's
+// series — even though the job runs on a worker, not the request path.
+func TestJobsTenantAttribution(t *testing.T) {
+	keys, err := loadAPIKeys(writeKeys(t, "secret-alpha alpha\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fasta := jobsTestFasta(t, 28, 30_000)
+	srv, s := jobsTestServer(t, logan.EngineOptions{}, func(c *serveConfig) {
+		c.apiKeys = keys
+		c.jobCoalesce = true
+	})
+	req, err := http.NewRequest(http.MethodPost, srv.URL+"/jobs?x=15&minOverlap=400&coverage=5&errorRate=0.12", bytes.NewReader(fasta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-fasta")
+	req.Header.Set("X-API-Key", "secret-alpha")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st jobStatusJSON
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs as alpha: status %d, %v", resp.StatusCode, err)
+	}
+	if fin := waitJob(t, srv.URL, st.ID, 60*time.Second); fin.State != cluster.StateDone || fin.Overlaps == 0 {
+		t.Fatalf("alpha's job: %+v", fin)
+	}
+	if n := s.tele.Snapshot().Int("logan_tenant_pairs_total", telemetry.L("tenant", "alpha")); n == 0 {
+		t.Error("alpha's job extended no pairs under tenant alpha")
 	}
 }

@@ -163,11 +163,11 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: status %d", id, code)
 		}
-		if st.State == string(jobRunning) && st.Worker != "" {
+		if st.State == cluster.StateRunning && st.Worker != "" {
 			victim = st.Worker
 			break
 		}
-		if st.State != string(jobQueued) {
+		if st.State != cluster.StateQueued {
 			t.Fatalf("job %s before any kill: %s (%s)", id, st.State, st.Error)
 		}
 		if time.Now().After(deadline) {
@@ -188,7 +188,7 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 	}
 
 	st := waitJob(t, srv.URL, id, 60*time.Second)
-	if st.State != string(jobDone) {
+	if st.State != cluster.StateDone {
 		t.Fatalf("job finished %s: %s", st.State, st.Error)
 	}
 	if st.Requeues != 1 {
@@ -245,13 +245,13 @@ func TestClusterWALReplay(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("job %s lost across restart: status %d", id, code)
 	}
-	if st.State != string(jobQueued) {
+	if st.State != cluster.StateQueued {
 		t.Fatalf("replayed job state %s, want queued", st.State)
 	}
 
 	startWorker(t, srv2.URL, "w1")
 	fin := waitJob(t, srv2.URL, id, 60*time.Second)
-	if fin.State != string(jobDone) {
+	if fin.State != cluster.StateDone {
 		t.Fatalf("replayed job finished %s: %s", fin.State, fin.Error)
 	}
 	if got := getPAF(t, srv2.URL, id); !bytes.Equal(got, want) {
@@ -341,7 +341,7 @@ func TestClusterIdempotencyKey(t *testing.T) {
 		t.Error("distinct Idempotency-Key mapped onto the same job")
 	}
 
-	if st := waitJob(t, srv.URL, first.ID, 60*time.Second); st.State != string(jobDone) {
+	if st := waitJob(t, srv.URL, first.ID, 60*time.Second); st.State != cluster.StateDone {
 		t.Fatalf("job finished %s: %s", st.State, st.Error)
 	}
 	waitJob(t, srv.URL, other.ID, 60*time.Second)
@@ -380,5 +380,27 @@ func TestClusterMetricsRollup(t *testing.T) {
 			t.Fatalf("rollup never showed both workers; last scrape:\n%.2000s", text)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestClusterEndpointsOnlyInRouterMode: a single node runs its workers in
+// process and must not expose the worker protocol, or any caller could
+// register and lease other tenants' jobs. A -cluster router serves it.
+func TestClusterEndpointsOnlyInRouterMode(t *testing.T) {
+	register := func(url string) int {
+		resp, err := http.Post(url+"/cluster/register", "application/json", strings.NewReader(`{"name":"intruder"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	single, _ := jobsTestServer(t, logan.EngineOptions{}, nil)
+	if code := register(single.URL); code != http.StatusNotFound {
+		t.Errorf("single node POST /cluster/register: %d, want 404", code)
+	}
+	router, _, _ := clusterTestServer(t, filepath.Join(t.TempDir(), "queue.wal"), nil)
+	if code := register(router.URL); code != http.StatusOK {
+		t.Errorf("router POST /cluster/register: %d, want 200", code)
 	}
 }

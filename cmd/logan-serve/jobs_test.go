@@ -16,16 +16,34 @@ import (
 	"time"
 
 	"logan"
+	"logan/internal/cluster"
 	"logan/internal/genome"
 	"logan/internal/seq"
 )
 
 // jobsTestFasta builds a deterministic FASTA data set with real overlaps.
 func jobsTestFasta(t testing.TB, seed int64, genomeLen int) []byte {
+	return simulateFasta(t, seed, genomeLen, 900, 2000)
+}
+
+// longJobQuery is the configuration longJobFasta is sized for.
+const longJobQuery = "?x=10000&coverage=5&errorRate=0.12"
+
+// longJobFasta is a data set whose overlap job under longJobQuery runs
+// for about 30 s on a one-thread engine (2 vCPU Xeon): its 6-10 kbp
+// reads make every extension a near-full DP. Tests cancel it long before
+// the end, so anything that waits on its worker proves the cancel took.
+func longJobFasta(t testing.TB) []byte {
+	return simulateFasta(t, 22, 100_000, 6000, 10_000)
+}
+
+// simulateFasta samples 5x-coverage reads of the given length range from
+// a deterministic synthetic genome.
+func simulateFasta(t testing.TB, seed int64, genomeLen, minLen, maxLen int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := genome.Synthetic(rng, "t", genome.SyntheticOptions{Length: genomeLen, RepeatFrac: 0.03, RepeatLen: 1200})
-	rs := genome.Simulate(rng, g, genome.SimOptions{Coverage: 5, MinLen: 900, MaxLen: 2000, ErrorRate: 0.12})
+	rs := genome.Simulate(rng, g, genome.SimOptions{Coverage: 5, MinLen: minLen, MaxLen: maxLen, ErrorRate: 0.12})
 	var buf bytes.Buffer
 	if err := seq.WriteFasta(&buf, rs.Records()); err != nil {
 		t.Fatal(err)
@@ -60,17 +78,6 @@ func jobsTestServer(t *testing.T, opt logan.EngineOptions, mut func(*serveConfig
 	return srv, s
 }
 
-// localStore unwraps the server's JobStore as the in-process
-// implementation, for tests that assert on its internal counters.
-func localStore(t *testing.T, s *server) *jobStore {
-	t.Helper()
-	st, ok := s.store.(*jobStore)
-	if !ok {
-		t.Fatalf("server store is %T, want *jobStore", s.store)
-	}
-	return st
-}
-
 // postJob submits a FASTA body and returns the job id.
 func postJob(t *testing.T, url string, fasta []byte, query string) string {
 	t.Helper()
@@ -87,7 +94,7 @@ func postJob(t *testing.T, url string, fasta []byte, query string) string {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("POST /jobs response %q: %v", body, err)
 	}
-	if st.ID == "" || st.State != string(jobQueued) {
+	if st.ID == "" || st.State != cluster.StateQueued {
 		t.Fatalf("POST /jobs response %+v", st)
 	}
 	return st.ID
@@ -121,7 +128,7 @@ func waitJob(t *testing.T, url, id string, timeout time.Duration) jobStatusJSON 
 		if code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: status %d", id, code)
 		}
-		if jobState(st.State).terminal() {
+		if cluster.TerminalState(st.State) {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -174,7 +181,7 @@ func TestJobsLifecycle(t *testing.T) {
 			id := postJob(t, srv.URL, fasta, query)
 
 			st := waitJob(t, srv.URL, id, 60*time.Second)
-			if st.State != string(jobDone) {
+			if st.State != cluster.StateDone {
 				t.Fatalf("job finished %s: %s", st.State, st.Error)
 			}
 			if st.Progress == nil || st.Progress.Stage != string(logan.StageDone) {
@@ -217,54 +224,66 @@ func TestJobsLifecycle(t *testing.T) {
 	}
 }
 
-// TestJobsCancel aborts a long-running job mid-extension and expects the
-// runner to observe the cancellation promptly.
-func TestJobsCancel(t *testing.T) {
-	fasta := jobsTestFasta(t, 22, 120_000)
-	srv, s := jobsTestServer(t, logan.EngineOptions{}, nil)
-	// A deliberately expensive configuration: X=2000 explores wide bands.
-	id := postJob(t, srv.URL, fasta, "?x=2000&minOverlap=400&coverage=5&errorRate=0.12")
-
-	// Wait for the alignment stage to actually start.
+// waitExtending polls until the job runs its extension stage (progress
+// reaches the router with each lease extend).
+func waitExtending(t *testing.T, url, id string) {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		st, code := getStatus(t, srv.URL, id)
+		st, code := getStatus(t, url, id)
 		if code != http.StatusOK {
 			t.Fatalf("GET: %d", code)
 		}
-		if jobState(st.State).terminal() {
-			t.Skipf("job finished (%s) before the cancellation point; machine too fast", st.State)
+		if cluster.TerminalState(st.State) {
+			t.Fatalf("job finished (%s) before reaching the extension stage", st.State)
 		}
-		if st.State == string(jobRunning) && st.Progress != nil && st.Progress.ExtensionsTotal > 0 {
-			break
+		if st.State == cluster.StateRunning && st.Progress != nil && st.Progress.ExtensionsTotal > 0 {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("job never reached the extension stage")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
 
-	start := time.Now()
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+// deleteJob issues DELETE /jobs/{id} and returns the status code.
+func deleteJob(t *testing.T, url, id string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, url+"/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("DELETE: status %d", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// TestJobsCancel aborts a long-running job mid-extension and proves the
+// run actually stopped, not only that the router forgot it: with one
+// worker, a small job submitted after the DELETE can only run once the
+// canceled execution has returned.
+func TestJobsCancel(t *testing.T) {
+	srv, s := jobsTestServer(t, logan.EngineOptions{Threads: 1}, func(c *serveConfig) { c.jobWorkers = 1 })
+	id := postJob(t, srv.URL, longJobFasta(t), longJobQuery)
+	waitExtending(t, srv.URL, id)
+
+	start := time.Now()
+	if code := deleteJob(t, srv.URL, id); code != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d", code)
 	}
 	if _, code := getStatus(t, srv.URL, id); code != http.StatusNotFound {
 		t.Fatalf("GET after DELETE: %d, want 404", code)
 	}
+	if n := s.tele.Snapshot().Int("logan_jobs_canceled_total"); n != 1 {
+		t.Errorf("canceled jobs counted %d, want 1", n)
+	}
 
-	// The runner must observe ctx promptly (per pair on the CPU pool):
-	// poll the jobs totals until the cancellation lands.
-	for localStore(t, s).t.canceled.Value() == 0 {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("cancellation not observed within 10s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The worker learns of the cancel at its next extend and the backend
+	// observes the context per pair; only then can it lease the next job.
+	small := postJob(t, srv.URL, []byte(">r1\nACGTACGTACGTACGTACGTACGTACGTACGT\n>r2\nACGTACGTACGTACGTACGTACGTACGTACGT\n"), "")
+	if st := waitJob(t, srv.URL, small, 10*time.Second); st.State != cluster.StateDone {
+		t.Fatalf("job after the cancel finished %s: %s", st.State, st.Error)
 	}
 	if got := time.Since(start); got > 10*time.Second {
 		t.Fatalf("cancellation took %v", got)
@@ -316,7 +335,7 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 	// fails asynchronously.
 	id := postJob(t, srv.URL, []byte("not fasta at all"), "")
 	st := waitJob(t, srv.URL, id, 30*time.Second)
-	if st.State != string(jobFailed) || st.Error == "" {
+	if st.State != cluster.StateFailed || st.Error == "" {
 		t.Errorf("bad FASTA job: %+v, want failed with error", st)
 	}
 	// Its PAF is unavailable.
@@ -350,7 +369,7 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Errorf("submission to full store: status %d (%.100s), want 429", code, body)
 	}
-	if localStore(t, s).t.rejected.Value() == 0 {
+	if s.tele.Snapshot().Int("logan_jobs_rejected_total") == 0 {
 		t.Error("rejected submission not counted")
 	}
 	// Drain so cleanup does not race long-running work.
@@ -362,95 +381,79 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 	}
 }
 
-// TestJobsByteBudget checks the aggregate upload-byte budget: queued
-// uploads (blocked behind the single worker, so their ingestion has not
-// started) hold their reservation, and submissions past the budget shed
-// with 429 even though the job-count cap is not reached. A running job
-// releases its reservation once ingestion completes.
+// TestJobsByteBudget checks the aggregate spec-byte budget: a job holds
+// its reservation until it reaches a terminal state (the spec is kept
+// for requeue), so a submission past the budget sheds with 429 even
+// though the job-count cap is not reached, and is admitted once the
+// holder is canceled.
 func TestJobsByteBudget(t *testing.T) {
-	fasta := jobsTestFasta(t, 26, 40_000)
-	srv, s := jobsTestServer(t, logan.EngineOptions{}, func(c *serveConfig) {
+	fasta := longJobFasta(t)
+	srv, s := jobsTestServer(t, logan.EngineOptions{Threads: 1}, func(c *serveConfig) {
 		c.jobWorkers = 1
 		c.jobBodyLimit = int64(len(fasta) + 1024)
-		// Budget fits one and a half uploads: the running (post-ingest,
-		// released) job plus one queued reservation, but not two.
+		// Budget fits one job's spec (the FASTA plus a small header), not
+		// two.
 		c.jobPendingBytes = int64(len(fasta)) + int64(len(fasta))/2
 	})
-	// Job A: expensive (x=500) so it occupies the worker for a while.
-	idA := postJob(t, srv.URL, fasta, "?x=500&coverage=5&errorRate=0.12")
-	// Wait until A's ingestion finished — its reservation is released.
-	deadline := time.Now().Add(30 * time.Second)
-	for localStore(t, s).bufferedBytes.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job A's upload reservation never released after ingestion")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Job B queues behind A (1 worker): its reservation is held.
-	idB := postJob(t, srv.URL, fasta, "?x=15&coverage=5&errorRate=0.12")
-	// Job C would push reservations to 2× the upload size — over budget.
-	resp, err := http.Post(srv.URL+"/jobs", "application/x-fasta", bytes.NewReader(fasta))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("upload past byte budget: status %d (%.100s), want 429", resp.StatusCode, body)
-	}
-	// Drain: cancel A, let B run; once B ingests, uploads admit again.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+idA, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
-	}
-	deadline = time.Now().Add(60 * time.Second)
-	for {
+	buffered := func() int64 { return s.tele.Snapshot().Int("logan_jobs_buffered_bytes") }
+	post := func() int {
 		resp, err := http.Post(srv.URL+"/jobs?x=15&coverage=5&errorRate=0.12", "application/x-fasta", bytes.NewReader(fasta))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusAccepted {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("upload still shed after the queue drained")
-		}
-		time.Sleep(10 * time.Millisecond)
+		return resp.StatusCode
 	}
-	_ = idB
+	// Job A occupies the worker for a while. It still holds its
+	// reservation once past ingestion.
+	idA := postJob(t, srv.URL, fasta, longJobQuery)
+	waitExtending(t, srv.URL, idA)
+	if got := buffered(); got < int64(len(fasta)) {
+		t.Fatalf("running job holds %d buffered bytes, want at least its %d-byte FASTA", got, len(fasta))
+	}
+	if code := post(); code != http.StatusTooManyRequests {
+		t.Errorf("upload past byte budget: status %d, want 429", code)
+	}
+	// Canceling A makes it terminal: the reservation is released at once.
+	if code := deleteJob(t, srv.URL, idA); code != http.StatusNoContent {
+		t.Fatalf("DELETE A: status %d", code)
+	}
+	if got := buffered(); got != 0 {
+		t.Errorf("buffered bytes after cancel: %d, want 0", got)
+	}
+	if code := post(); code != http.StatusAccepted {
+		t.Errorf("upload after the reservation was released: status %d, want 202", code)
+	}
 }
 
-// TestJobsResultBudget checks retained-PAF eviction: when finished jobs'
-// aggregate PAF bytes exceed the result budget, the oldest terminal job
-// is evicted (404) while the newest result survives.
+// TestJobsResultBudget checks retained-PAF eviction: with a result
+// budget of 1.5 results, one finished job fits, and the second
+// completion evicts the oldest terminal job (404) while the newest
+// result survives.
 func TestJobsResultBudget(t *testing.T) {
 	fasta := jobsTestFasta(t, 27, 40_000)
+	refCfg := logan.DefaultOverlapConfig(5, 0.12, 15)
+	refCfg.MinOverlap = 400
+	ref := offlinePAF(t, fasta, refCfg)
 	srv, _ := jobsTestServer(t, logan.EngineOptions{}, func(c *serveConfig) {
-		// Far below one run's PAF output (tens of KB), so the second
-		// completion must evict the first.
-		c.jobResultBytes = 1024
+		c.jobResultBytes = int64(len(ref)) * 3 / 2
 	})
-	idA := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
+	const query = "?x=15&minOverlap=400&coverage=5&errorRate=0.12"
+	idA := postJob(t, srv.URL, fasta, query)
 	stA := waitJob(t, srv.URL, idA, 60*time.Second)
-	if stA.State != string(jobDone) || stA.PAFBytes <= 1024 {
-		t.Fatalf("job A: %+v (need a PAF larger than the budget)", stA)
+	if stA.State != cluster.StateDone || stA.PAFBytes != len(ref) {
+		t.Fatalf("job A: %+v (want done with the %d-byte reference PAF)", stA, len(ref))
 	}
-	idB := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
+	idB := postJob(t, srv.URL, fasta, query)
 	stB := waitJob(t, srv.URL, idB, 60*time.Second)
-	if stB.State != string(jobDone) {
+	if stB.State != cluster.StateDone {
 		t.Fatalf("job B: %+v", stB)
 	}
 	if _, code := getStatus(t, srv.URL, idA); code != http.StatusNotFound {
 		t.Errorf("oldest result not evicted: GET A = %d, want 404", code)
 	}
-	resp, err := http.Get(srv.URL + "/jobs/" + idB + "/paf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("newest result must survive eviction: GET B paf = %d", resp.StatusCode)
+	if got := getPAF(t, srv.URL, idB); !bytes.Equal(got, ref) {
+		t.Errorf("newest result diverges from the offline pipeline (%d vs %d bytes)", len(got), len(ref))
 	}
 }
 
@@ -462,8 +465,12 @@ func TestJobsDataDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "reads.fa"), fasta, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(dir, "big.fa"), bytes.Repeat([]byte("A"), len(fasta)+2048), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	srv, _ := jobsTestServer(t, logan.EngineOptions{}, func(c *serveConfig) {
 		c.jobDataDir = dir
+		c.jobBodyLimit = int64(len(fasta) + 1024)
 	})
 
 	post := func(req string) (int, string) {
@@ -495,21 +502,19 @@ func TestJobsDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := waitJob(t, srv.URL, st.ID, 60*time.Second)
-	if fin.State != string(jobDone) || fin.Overlaps == 0 {
+	if fin.State != cluster.StateDone || fin.Overlaps == 0 {
 		t.Fatalf("fastaPath job: %+v", fin)
 	}
 
-	// A missing file fails the job, not the submission.
+	// The file is read at submission: a missing one is the client's 400,
+	// naming the client's relative path and nothing of the server's
+	// layout; one over -job-body-limit is a 413 like an upload.
 	code, body = post(`{"fastaPath":"nope.fa"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("missing-file submit: status %d (%s)", code, body)
+	if code != http.StatusBadRequest || !strings.Contains(body, `"nope.fa"`) || strings.Contains(body, dir) {
+		t.Fatalf("missing-file submit: status %d (%s), want 400 naming only \"nope.fa\"", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	fin = waitJob(t, srv.URL, st.ID, 30*time.Second)
-	if fin.State != string(jobFailed) {
-		t.Fatalf("missing-file job: %+v", fin)
+	if code, body := post(`{"fastaPath":"big.fa"}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized-file submit: status %d (%s), want 413", code, body)
 	}
 }
 
@@ -540,7 +545,7 @@ func TestJobsStatz(t *testing.T) {
 	srv, _ := jobsTestServer(t, logan.EngineOptions{}, nil)
 	id := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
 	st := waitJob(t, srv.URL, id, 60*time.Second)
-	if st.State != string(jobDone) {
+	if st.State != cluster.StateDone {
 		t.Fatalf("job: %+v", st)
 	}
 

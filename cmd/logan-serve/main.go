@@ -49,25 +49,29 @@
 // the same shared engine — extension batches interleave with /align
 // traffic on the same worker pools and devices, and -job-coalesce
 // additionally merges them into the request coalescer's batches. Jobs
-// are bounded (-max-jobs retained records, -job-workers concurrent runs)
-// and cancellable: DELETE aborts a running job promptly (the backend
-// observes the job's context per pair). Retried submissions can carry an
-// Idempotency-Key header: a repeat of a key the server still remembers
-// maps onto the existing job (original ID, X-Logan-Replayed: true)
-// instead of double-executing. See docs/SERVING.md for the full API
-// reference.
+// run on the cluster runtime (internal/cluster) even on a single node: a
+// memory-only router leases them to -job-workers in-process workers,
+// which report progress and learn of a DELETE every -lease-ttl/3 (1s
+// TTL by default on a single node); the backend then observes the
+// cancel per pair. Jobs are bounded (-max-jobs retained records,
+// -job-pending-bytes of specs held until terminal, -job-result-bytes of
+// retained PAF). Retried submissions can carry an Idempotency-Key
+// header: a repeat of a key the server still remembers maps onto the
+// existing job (original ID, X-Logan-Replayed: true) instead of
+// double-executing. See docs/SERVING.md for the full API reference.
 //
 // With -cluster the process becomes the router tier of a scale-out
 // cluster: the front door (auth, quotas, admission) is unchanged, but
 // accepted /jobs are persisted to a durable file-backed queue
 // (-cluster-queue; replayed on restart) and executed by logan-worker
-// processes that register over HTTP, heartbeat, and pull work under
-// expiring leases (-lease-ttl). A worker that dies mid-job simply stops
-// extending its lease; the router requeues the job (at most
-// -max-requeues times) and a surviving worker produces byte-identical
-// output. /statz gains a "cluster" block and /metrics becomes the
-// fleet rollup: every worker's series re-exported under a
-// worker="<name>" label. See docs/SERVING.md ("Running a cluster").
+// processes that register over /cluster/ (mounted only in this mode),
+// heartbeat, and pull work under the same expiring leases. A worker
+// that dies mid-job simply stops extending its lease; the router
+// requeues the job (at most -max-requeues times) and a surviving worker
+// produces byte-identical output. /statz gains a "cluster" block and
+// /metrics becomes the fleet rollup: every worker's series re-exported
+// under a worker="<name>" label. See docs/SERVING.md ("Running a
+// cluster").
 //
 // The server also hosts the reference-mapping API (logan.Mapper): POST
 // a reference FASTA to /map/index (or start with -map-ref/-map-index)
@@ -98,7 +102,7 @@
 //	                     plus the installed index's statistics
 //	GET    /healthz      pure liveness: 200 while the process can serve
 //	GET    /readyz       readiness: 503 until the engine has run its
-//	                     warm-up alignment (and, in router mode, until at
+//	                     warm-up alignment (and, with /jobs on, until at
 //	                     least one worker is registered), then 200
 //	POST   /cluster/...  worker protocol (register, heartbeat, poll,
 //	                     extend, complete, fail) — router mode only,
@@ -129,11 +133,11 @@
 //	            [-job-coalesce] [-debug-addr 127.0.0.1:6060]
 //	            [-map] [-map-ref ref.fa | -map-index ref.lgi]
 //	            [-map-k 15] [-map-w 10] [-map-max-occ 256]
-//	            [-cluster -cluster-queue jobs.wal] [-lease-ttl 10s]
-//	            [-worker-ttl 30s] [-max-requeues 3] [-cluster-token secret]
+//	            [-lease-ttl 1s] [-worker-ttl 3s] [-max-requeues 3]
+//	            [-cluster -cluster-queue jobs.wal] [-cluster-token secret]
 //
-// SIGINT/SIGTERM drain in-flight requests, cancel live jobs and flush the
-// coalescer queue, then release the engine and every cached default
+// SIGINT/SIGTERM drain in-flight requests, stop the job workers and flush
+// the coalescer queue, then release the engine and every cached default
 // engine before exiting.
 package main
 
@@ -182,11 +186,11 @@ func main() {
 			"separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
 
 		jobs       = flag.Bool("jobs", true, "enable the async /jobs overlap API")
-		jobWorkers = flag.Int("job-workers", 2, "overlap jobs running concurrently")
+		jobWorkers = flag.Int("job-workers", 2, "in-process workers, i.e. overlap jobs running concurrently (single node)")
 		maxJobs    = flag.Int("max-jobs", 64, "retained job records before submissions shed with 429")
-		jobBody    = flag.Int64("job-body-limit", 64<<20, "largest accepted FASTA upload in bytes")
+		jobBody    = flag.Int64("job-body-limit", 64<<20, "largest accepted FASTA, uploaded or read from -job-data-dir, in bytes")
 		jobPending = flag.Int64("job-pending-bytes", 256<<20,
-			"aggregate FASTA bytes buffered by ingesting upload jobs before submissions shed with 429")
+			"aggregate FASTA bytes held by unfinished jobs before submissions shed with 429")
 		jobResults = flag.Int64("job-result-bytes", 256<<20,
 			"aggregate PAF bytes retained by finished jobs before the oldest are evicted")
 		jobDataDir = flag.String("job-data-dir", "",
@@ -205,15 +209,15 @@ func main() {
 			"mask -map-ref minimizers occurring more than this (0 = 256, negative = no masking)")
 
 		clusterMode = flag.Bool("cluster", false,
-			"router mode: accepted /jobs are persisted to a durable queue and executed by logan-worker processes instead of the local engine (requires -jobs)")
+			"router mode: accepted /jobs are persisted to a durable queue and executed by logan-worker processes instead of in-process workers (requires -jobs)")
 		clusterQueue = flag.String("cluster-queue", "",
 			"path of the durable job queue file (router mode; required with -cluster)")
 		leaseTTL = flag.Duration("lease-ttl", 0,
-			"work lease duration before an unextended job is requeued (router mode; 0 = 10s)")
+			"work lease duration before an unextended job is requeued; progress and cancel land every TTL/3 (0 = 10s with -cluster, 1s on a single node)")
 		workerTTL = flag.Duration("worker-ttl", 0,
-			"silence after which a worker is dropped from the registry (router mode; 0 = 3x lease TTL)")
+			"silence after which a worker is dropped from the registry (0 = 3x lease TTL)")
 		maxRequeues = flag.Int("max-requeues", 0,
-			"lease expiries tolerated per job before it fails terminally (router mode; 0 = 3)")
+			"lease expiries tolerated per job before it fails terminally (0 = 3)")
 		clusterToken = flag.String("cluster-token", "",
 			"shared secret workers must present as X-Logan-Cluster-Token (empty = open worker endpoints)")
 	)
@@ -283,9 +287,9 @@ func main() {
 	cfg.jobResultBytes = *jobResults
 	cfg.jobDataDir = *jobDataDir
 	cfg.jobCoalesce = *jobCoalesce
-	// Router mode replaces the local job store: it only makes sense with
-	// the /jobs API on, and it cannot run without somewhere durable to
-	// put accepted work.
+	// Router mode replaces the in-process workers: it only makes sense
+	// with the /jobs API on, and it cannot run without somewhere durable
+	// to put accepted work.
 	if *clusterMode {
 		if !*jobs {
 			fmt.Fprintln(os.Stderr, "logan-serve: -cluster requires -jobs")

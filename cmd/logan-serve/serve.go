@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -190,18 +191,20 @@ type serveConfig struct {
 	// across tenants: a hit reveals nothing the prober could not compute
 	// from its own request.
 	cacheEntries int
-	// jobs enables the async /jobs overlap API; jobWorkers bounds the
-	// concurrently running jobs, maxJobs the retained job records,
+	// jobs enables the async /jobs overlap API; jobWorkers is the number
+	// of in-process workers (concurrently running jobs) on a single node,
+	// maxJobs the retained job records,
 	// jobBodyLimit one FASTA upload's bytes, and jobDataDir (when set)
 	// the root for server-side fastaPath submissions.
 	jobs         bool
 	jobWorkers   int
 	maxJobs      int
 	jobBodyLimit int64
-	// jobPendingBytes bounds the aggregate FASTA bytes buffered by live
-	// upload jobs — without it, maxJobs queued uploads of jobBodyLimit
-	// each could pin maxJobs×jobBodyLimit of heap behind a few worker
-	// slots. jobResultBytes bounds the aggregate PAF bytes retained by
+	// jobPendingBytes bounds the aggregate spec bytes of non-terminal
+	// jobs (held until terminal, because the spec is retained for
+	// requeue) — without it, maxJobs queued jobs of jobBodyLimit each
+	// could pin maxJobs×jobBodyLimit of heap behind a few workers.
+	// jobResultBytes bounds the aggregate PAF bytes retained by
 	// finished jobs (output size is unrelated to input size), enforced by
 	// evicting the oldest terminal jobs.
 	jobPendingBytes int64
@@ -218,12 +221,13 @@ type serveConfig struct {
 	// reads against the installed minimizer index (built asynchronously
 	// via POST /map/index, or at startup from -map-ref/-map-index).
 	maps bool
-	// cluster switches the /jobs subsystem from the in-process store to
-	// the router tier: accepted jobs persist to the write-ahead queue at
-	// clusterQueue and execute on registered logan-worker nodes under
-	// expiring leases. leaseTTL/workerTTL/maxRequeues tune the failure
-	// detector (zero values select cluster.RouterOptions defaults), and
-	// clusterToken, when set, gates the worker API.
+	// cluster makes this node the router of a scale-out deployment:
+	// accepted jobs persist to the write-ahead queue at clusterQueue and
+	// execute on logan-worker nodes that register over /cluster/ (gated
+	// by clusterToken, when set) instead of on in-process workers.
+	// leaseTTL/workerTTL/maxRequeues tune the lease protocol in both
+	// modes (zero values select cluster.RouterOptions defaults, except a
+	// single node's 1s lease TTL).
 	cluster      bool
 	clusterQueue string
 	leaseTTL     time.Duration
@@ -259,12 +263,14 @@ func defaultServeConfig() serveConfig {
 type server struct {
 	eng  *logan.Aligner
 	coal *logan.Coalescer // nil when coalescing is disabled
-	// store backs the /jobs API (nil when disabled): the in-process
-	// jobStore on a single node, the cluster Router in -cluster mode.
-	// router is the same object as store in cluster mode, typed for the
-	// rollup and /statz views only it provides.
-	store  cluster.JobStore
-	router *cluster.Router
+	// router backs the /jobs API (nil when disabled). In -cluster mode
+	// (clustered) logan-worker processes execute its jobs over /cluster/;
+	// on a single node in-process workers do, until stopWorkers cancels
+	// them (workers tracks their Run calls).
+	router      *cluster.Router
+	clustered   bool
+	stopWorkers context.CancelFunc
+	workers     sync.WaitGroup
 	// maps backs the reference-mapping API (nil when disabled): the
 	// shared Mapper plus the single-slot async index build.
 	maps *mapTier
@@ -272,7 +278,7 @@ type server struct {
 	// dataDir roots server-side fastaPath submissions ("" disables them).
 	dataDir string
 	// ready flips once the warmup alignment completes; /readyz also
-	// requires store.Ready() (in router mode: ≥1 registered worker).
+	// requires router.Ready() (≥1 registered worker).
 	ready atomic.Bool
 	// tele is the engine's registry — the one store behind /metrics and
 	// /statz; stages is a handle on the engine's stage-latency histogram
@@ -295,9 +301,9 @@ type server struct {
 
 // newServer builds the HTTP surface for an engine. Callers must Close the
 // returned server (after the HTTP listener has drained) to stop the
-// coalescer's flusher and the job store; Close does not close the engine.
-// Construction only fails in -cluster mode, when the write-ahead queue
-// cannot be opened.
+// coalescer's flusher and the job runtime; Close does not close the
+// engine. Construction only fails in -cluster mode, when the write-ahead
+// queue cannot be opened.
 func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	def := defaultServeConfig()
 	if cfg.maxPairs <= 0 {
@@ -314,6 +320,9 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	}
 	if cfg.jobBodyLimit <= 0 {
 		cfg.jobBodyLimit = def.jobBodyLimit
+	}
+	if cfg.jobWorkers <= 0 {
+		cfg.jobWorkers = def.jobWorkers
 	}
 	s := &server{eng: eng, defCfg: cfg.defCfg, maxX: cfg.maxX, maxPairs: cfg.maxPairs,
 		bodyLimit: cfg.bodyLimit, jobBodyLimit: cfg.jobBodyLimit, keys: cfg.apiKeys,
@@ -340,13 +349,8 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 			Cache:         s.cache,
 		})
 	}
-	switch {
-	case cfg.jobs && cfg.cluster:
-		// Router mode: this node admits and persists jobs, registered
-		// logan-worker nodes execute them. The front tier's own engine
-		// still serves /align.
-		router, err := cluster.NewRouter(cluster.RouterOptions{
-			QueuePath:    cfg.clusterQueue,
+	if cfg.jobs {
+		ropt := cluster.RouterOptions{
 			LeaseTTL:     cfg.leaseTTL,
 			WorkerTTL:    cfg.workerTTL,
 			MaxRequeues:  cfg.maxRequeues,
@@ -354,9 +358,20 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 			MaxJobBytes:  cfg.jobBodyLimit,
 			PendingBytes: cfg.jobPendingBytes,
 			ResultBytes:  cfg.jobResultBytes,
-			Token:        cfg.clusterToken,
 			Registry:     s.tele,
-		})
+		}
+		if cfg.cluster {
+			// Router mode: this node admits and persists jobs, registered
+			// logan-worker nodes execute them. The front tier's own engine
+			// still serves /align.
+			ropt.QueuePath = cfg.clusterQueue
+			ropt.Token = cfg.clusterToken
+		} else if ropt.LeaseTTL <= 0 {
+			// An in-process worker cannot die apart from the router, so
+			// the TTL only sets the progress and cancel cadence (TTL/3).
+			ropt.LeaseTTL = time.Second
+		}
+		router, err := cluster.NewRouter(ropt)
 		if err != nil {
 			if s.coal != nil {
 				s.coal.Close()
@@ -364,27 +379,10 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 			return nil, err
 		}
 		s.router = router
-		s.store = router
-	case cfg.jobs:
-		// Jobs extend on the same engine as /align traffic. With
-		// -job-coalesce their chunks additionally flow through the merge
-		// queue (and shed/retry under its admission control); the default
-		// is the engine-direct path for per-pair cancellation.
-		var oopt logan.OverlapperOptions
-		if cfg.jobCoalesce {
-			if s.coal == nil {
-				// main rejects this flag combination; reaching it here is
-				// a programming error that must not silently downgrade to
-				// the direct path.
-				panic("logan-serve: jobCoalesce requires coalesce")
-			}
-			oopt.Coalescer = s.coal
+		s.clustered = cfg.cluster
+		if !cfg.cluster {
+			s.startJobWorkers(cfg.jobWorkers, cfg.jobCoalesce)
 		}
-		ov, err := logan.NewOverlapper(eng, oopt)
-		if err != nil {
-			panic(err) // unreachable: eng is non-nil
-		}
-		s.store = newJobStore(ov, s.tele, cfg.jobWorkers, cfg.maxJobs, cfg.jobPendingBytes, cfg.jobResultBytes)
 	}
 	if cfg.maps {
 		// The mapper extends on the shared engine; with coalescing on its
@@ -410,13 +408,14 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		mux.HandleFunc("POST /map/index", s.handleMapIndexBuild)
 		mux.HandleFunc("GET /map/index", s.handleMapIndexStatus)
 	}
-	if s.router != nil {
+	if s.clustered {
 		mux.Handle("/cluster/", s.router.Handler())
 	}
 	s.mux = mux
 	// Warm the engine off the request path: the first alignment pays
 	// one-time pool/device setup, and /readyz holds back load-balancer
-	// traffic until it has been paid.
+	// traffic until it has been paid. The in-process workers started
+	// above register while it runs.
 	go s.warmup()
 	return s, nil
 }
@@ -435,12 +434,17 @@ func (s *server) warmup() {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close cancels live jobs, waits for their runners, then stops the
+// Close stops the in-process workers (a running job is released back to
+// the queue) and waits for them, closes the router, then stops the
 // coalescer after flushing queued requests. Call it after the HTTP server
 // has stopped accepting work and before the engine closes.
 func (s *server) Close() {
-	if s.store != nil {
-		s.store.Close()
+	if s.stopWorkers != nil {
+		s.stopWorkers()
+		s.workers.Wait()
+	}
+	if s.router != nil {
+		s.router.Close()
 	}
 	if s.coal != nil {
 		s.coal.Close()
@@ -616,7 +620,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is GET /readyz: 503 until the engine's warmup alignment
-// has completed and — in router mode — at least one worker is
+// has completed and — with the job API on — at least one worker is
 // registered, so load balancers never route to a node that would shed
 // or queue everything.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
@@ -625,7 +629,7 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	case !s.ready.Load():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"warming"}`)
-	case s.store != nil && !s.store.Ready():
+	case s.router != nil && !s.router.Ready():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, `{"status":"no workers registered"}`)
 	default:
@@ -791,7 +795,7 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	out.Tenants = tenantStatz(snap)
-	if s.store != nil {
+	if s.router != nil {
 		out.Jobs = jobsStatz(snap)
 	}
 	if s.maps != nil {
@@ -807,7 +811,7 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			Index:      s.maps.status(),
 		}
 	}
-	if s.router != nil {
+	if s.clustered {
 		out.Cluster = clusterStatz(s.router, snap)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -937,7 +941,7 @@ func coalescerStatz(snap *telemetry.Snapshot) *coalescerStatzJSON {
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.m.requests.Inc()
 	snap := s.tele.Snapshot()
-	if s.router != nil {
+	if s.clustered {
 		snap = cluster.MergeSnapshots(snap, s.router.WorkerSnapshots())
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -1,14 +1,14 @@
-// Package cluster is the distributed scale-out layer: a router tier
-// that admits overlap jobs, persists them to a durable write-ahead
-// queue, and hands them to a fleet of alignment workers under expiring
-// leases — plus the worker client that registers, heartbeats, pulls
-// work, executes it on its local engine, and streams results back.
+// Package cluster is the job runtime behind the serve layer's /jobs
+// API: a Router that admits overlap jobs and hands them to workers under
+// expiring leases, plus the Worker client that registers, heartbeats,
+// pulls work, executes it on its local engine, and streams results back.
 //
-// The package also defines the JobStore interface the serve layer's
-// /jobs handlers program against: the single-node in-memory store and
-// the cluster Router are interchangeable behind it, so non-cluster
-// operation is the degenerate single-node case, not a separate code
-// path.
+// There is one runtime for both deployments. A scale-out router persists
+// accepted jobs to a durable write-ahead queue and serves logan-worker
+// processes over HTTP. A single node runs the same Router memory-only
+// (no queue file) and serves in-process Workers whose HTTP client calls
+// the router's handler directly, so both speak one lease protocol with
+// one implementation.
 //
 // Dataflow of one clustered job:
 //
@@ -30,20 +30,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"logan"
 )
 
-// Admission-control errors shared by both JobStore implementations; the
-// HTTP layer maps them to 429.
+// Admission-control errors returned by Router.Submit; the HTTP layer maps
+// them to 429.
 var (
 	// ErrStoreFull reports a store whose every retained job is still
 	// live: nothing can be evicted to make room.
 	ErrStoreFull = errors.New("cluster: job store full of live jobs")
-	// ErrBusy reports an exhausted byte budget (buffered uploads or
-	// queued job specs).
+	// ErrBusy reports an exhausted byte budget (specs of non-terminal
+	// jobs).
 	ErrBusy = errors.New("cluster: job byte budget exhausted")
 )
 
@@ -180,7 +179,7 @@ func (p *Progress) FromOverlap(u logan.OverlapProgress) {
 	p.Retries = u.Retries
 }
 
-// Job states shared by both stores.
+// Job states.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -195,9 +194,7 @@ func TerminalState(s string) bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobStatus is one job's externally visible state, identical in shape
-// for the single-node store and the cluster router (Worker and Requeues
-// stay zero on a single node).
+// JobStatus is one job's externally visible state.
 type JobStatus struct {
 	ID       string
 	State    string
@@ -218,43 +215,16 @@ type JobStatus struct {
 }
 
 // Submission is one POST /jobs, resolved by the HTTP layer: the
-// authenticated tenant, the validated configuration, and a one-shot
-// opener for the FASTA source. BufBytes is the source's already
-// buffered upload size (0 for lazily opened server-side paths).
+// authenticated tenant, the validated configuration, and the FASTA
+// bytes (uploaded, or read from the server's data directory).
 type Submission struct {
-	Tenant   *logan.Tenant
-	Config   logan.OverlapConfig
-	Open     func() (io.ReadCloser, error)
-	BufBytes int64
+	Tenant *logan.Tenant
+	Config logan.OverlapConfig
+	Fasta  []byte
 	// IdempotencyKey, when non-empty, dedupes client retries: a
 	// submission whose key matches a retained job returns that job's
 	// status (replayed=true) instead of creating a second job.
 	IdempotencyKey string
-}
-
-// JobStore is the serve layer's contract for the async jobs subsystem.
-// The in-memory single-node store and the cluster Router both implement
-// it; the /jobs HTTP handlers are written against nothing else.
-type JobStore interface {
-	// Submit admits one job. replayed reports an idempotency-key hit
-	// (the returned status is the original job's). Admission rejections
-	// wrap ErrStoreFull or ErrBusy.
-	Submit(sub Submission) (st JobStatus, replayed bool, err error)
-	// Status reports the job's current state.
-	Status(id string) (JobStatus, bool)
-	// PAF returns the finished job's serialized result along with its
-	// status; a job that is not done returns its status and a nil slice.
-	PAF(id string) ([]byte, JobStatus, bool)
-	// Cancel aborts the job if live and forgets it either way; false
-	// means the ID was unknown.
-	Cancel(id string) bool
-	// RetryAfter projects when a shed submission should retry.
-	RetryAfter() time.Duration
-	// Ready reports whether the store can make progress on accepted
-	// jobs (a router with no registered workers is not ready).
-	Ready() bool
-	// Close cancels live work and releases resources.
-	Close()
 }
 
 // NewID returns a 16-hex-character random identifier, used for job IDs,

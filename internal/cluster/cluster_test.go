@@ -33,16 +33,30 @@ func testFasta(t testing.TB, seed int64, genomeLen int) []byte {
 	return buf.Bytes()
 }
 
-// testRouter boots a router on a temp WAL and serves its worker API.
-func testRouter(t *testing.T, mut func(*RouterOptions)) (*Router, *httptest.Server) {
+// routerModes are the two router runtimes: durable (a write-ahead
+// queue, the scale-out router) and memory-only (the single node). Tests
+// of behaviour both share run over each.
+var routerModes = []struct {
+	name string
+	mut  func(*RouterOptions)
+}{
+	{"wal", nil},
+	{"memory", func(o *RouterOptions) { o.QueuePath = "" }},
+}
+
+// testRouter boots a router on a temp WAL and serves its worker API;
+// each non-nil mut adjusts the options in order.
+func testRouter(t *testing.T, muts ...func(*RouterOptions)) (*Router, *httptest.Server) {
 	t.Helper()
 	opt := RouterOptions{
 		QueuePath: filepath.Join(t.TempDir(), "jobs.wal"),
 		LeaseTTL:  80 * time.Millisecond,
 		Registry:  telemetry.NewRegistry(),
 	}
-	if mut != nil {
-		mut(&opt)
+	for _, mut := range muts {
+		if mut != nil {
+			mut(&opt)
+		}
 	}
 	r, err := NewRouter(opt)
 	if err != nil {
@@ -61,7 +75,7 @@ func submitBytes(t *testing.T, r *Router, fasta []byte, key string) JobStatus {
 	t.Helper()
 	st, replayed, err := r.Submit(Submission{
 		Config:         logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open:           func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(fasta)), nil },
+		Fasta:          fasta,
 		IdempotencyKey: key,
 	})
 	if err != nil {
@@ -190,7 +204,13 @@ func TestSpecRoundtrip(t *testing.T) {
 }
 
 func TestRouterLeaseLifecycle(t *testing.T) {
-	r, srv := testRouter(t, nil)
+	for _, m := range routerModes {
+		t.Run(m.name, func(t *testing.T) { testRouterLeaseLifecycle(t, m.mut) })
+	}
+}
+
+func testRouterLeaseLifecycle(t *testing.T, mode func(*RouterOptions)) {
+	r, srv := testRouter(t, mode)
 	st := submitBytes(t, r, []byte(">r1\nACGT\n"), "")
 	if st.State != StateQueued {
 		t.Fatalf("state %q after submit", st.State)
@@ -222,8 +242,66 @@ func TestRouterLeaseLifecycle(t *testing.T) {
 	if code := w.complete(jobID, lease, []byte("paf-bytes\n")); code != http.StatusOK {
 		t.Fatalf("retried complete returned %d, want 200", code)
 	}
-	if r.wal.Pending() != 0 {
+	if r.wal != nil && r.wal.Pending() != 0 {
 		t.Fatalf("WAL still holds %d records after ack", r.wal.Pending())
+	}
+}
+
+// retained reports the FASTA bytes the router holds for job id: the
+// spec's own slice (the router must keep none) and the framed payload.
+func retained(r *Router, id string) (specFasta, payload int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	j := r.jobs[id]
+	return len(j.spec.Fasta), len(j.payload)
+}
+
+// TestRouterKeepsOneFastaCopy pins the router's memory to what
+// PendingBytes charges: one framed payload per live job, none once the
+// job is terminal, whether it finished or failed.
+func TestRouterKeepsOneFastaCopy(t *testing.T) {
+	for _, m := range routerModes {
+		t.Run(m.name, func(t *testing.T) {
+			r, srv := testRouter(t, m.mut)
+			fasta := []byte(">r1\nACGTACGT\n")
+			failing := submitBytes(t, r, fasta, "")
+			finishing := submitBytes(t, r, fasta, "")
+			for _, id := range []string{failing.ID, finishing.ID} {
+				if sf, pl := retained(r, id); sf != 0 || pl == 0 {
+					t.Fatalf("queued job holds spec.Fasta %d bytes, payload %d", sf, pl)
+				}
+			}
+
+			w := registerFake(t, srv.URL, "w1")
+			spec, id, lease, ok := w.lease(1000)
+			if !ok || id != failing.ID || !bytes.Equal(spec.Fasta, fasta) {
+				t.Fatalf("lease: ok=%v id=%q fasta=%q", ok, id, spec.Fasta)
+			}
+			resp := w.post("/cluster/jobs/"+id+"/fail", failRequest{WorkerID: w.id, Lease: lease, Error: "bad input"}, nil)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("fail: %s", resp.Status)
+			}
+			_, id, lease, ok = w.lease(1000)
+			if !ok || id != finishing.ID {
+				t.Fatalf("second lease: ok=%v id=%q", ok, id)
+			}
+			if code := w.complete(id, lease, []byte("paf\n")); code != http.StatusOK {
+				t.Fatalf("complete returned %d", code)
+			}
+
+			for _, id := range []string{failing.ID, finishing.ID} {
+				if sf, pl := retained(r, id); sf != 0 || pl != 0 {
+					t.Fatalf("terminal job %s holds spec.Fasta %d bytes, payload %d", id, sf, pl)
+				}
+			}
+			r.mu.Lock()
+			pending := r.pendingBytes
+			r.mu.Unlock()
+			if pending != 0 {
+				t.Fatalf("pendingBytes %d after both jobs are terminal", pending)
+			}
+		})
 	}
 }
 
@@ -278,11 +356,17 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 }
 
 func TestIdempotencyKeyDedupes(t *testing.T) {
-	r, _ := testRouter(t, nil)
+	for _, m := range routerModes {
+		t.Run(m.name, func(t *testing.T) { testIdempotencyKeyDedupes(t, m.mut) })
+	}
+}
+
+func testIdempotencyKeyDedupes(t *testing.T, mode func(*RouterOptions)) {
+	r, _ := testRouter(t, mode)
 	st := submitBytes(t, r, []byte(">r\nAC\n"), "client-retry-1")
 	again, replayed, err := r.Submit(Submission{
 		Config:         logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open:           func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader([]byte(">other\nGG\n"))), nil },
+		Fasta:          []byte(">other\nGG\n"),
 		IdempotencyKey: "client-retry-1",
 	})
 	if err != nil {
@@ -316,10 +400,13 @@ func TestWALReplayAcrossRestart(t *testing.T) {
 	if !ok || got.State != StateQueued {
 		t.Fatalf("replayed job: ok=%v %+v", ok, got)
 	}
+	if sf, pl := retained(r2, st.ID); sf != 0 || pl == 0 {
+		t.Fatalf("replayed job holds spec.Fasta %d bytes, payload %d", sf, pl)
+	}
 	// Identity survives: the idempotency key still dedupes after restart.
 	again, replayed, err := r2.Submit(Submission{
 		Config:         logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open:           func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(fasta)), nil },
+		Fasta:          fasta,
 		IdempotencyKey: "replay-key",
 	})
 	if err != nil {
@@ -339,7 +426,13 @@ func TestWALReplayAcrossRestart(t *testing.T) {
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
-	r, srv := testRouter(t, nil)
+	for _, m := range routerModes {
+		t.Run(m.name, func(t *testing.T) { testCancelQueuedAndRunning(t, m.mut) })
+	}
+}
+
+func testCancelQueuedAndRunning(t *testing.T, mode func(*RouterOptions)) {
+	r, srv := testRouter(t, mode)
 	// Queued: canceled jobs are forgotten and never leased.
 	st := submitBytes(t, r, []byte(">a\nAC\n"), "")
 	if !r.Cancel(st.ID) {
@@ -437,10 +530,7 @@ func TestWorkerExecutesJob(t *testing.T) {
 	go func() { defer close(done); wk.Run(ctx) }()
 	defer func() { cancel(); <-done }()
 
-	st, replayed, err := r.Submit(Submission{
-		Config: cfg,
-		Open:   func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(fasta)), nil },
-	})
+	st, replayed, err := r.Submit(Submission{Config: cfg, Fasta: fasta})
 	if err != nil || replayed {
 		t.Fatalf("submit: %v replayed=%v", err, replayed)
 	}
@@ -467,6 +557,69 @@ func TestWorkerExecutesJob(t *testing.T) {
 	}
 	if got.Worker != "w1" || got.Overlaps != len(res.Records) {
 		t.Fatalf("completion metadata: %+v", got)
+	}
+	// The completion carries the final progress: a job shorter than one
+	// extend interval would otherwise report none.
+	if p := got.Progress; p.Stage != string(logan.StageDone) || p.ExtensionsTotal == 0 || p.ExtensionsDone != p.ExtensionsTotal {
+		t.Fatalf("done job progress %+v, want stage done with every extension done", p)
+	}
+}
+
+// TestCompleteOverResultBudget: a PAF larger than the result budget
+// fails the job once, terminally, with the budget named in the error —
+// not a lease left to expire and re-run MaxRequeues+1 times.
+func TestCompleteOverResultBudget(t *testing.T) {
+	eng, err := logan.NewAligner(logan.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ov, err := logan.NewOverlapper(eng, logan.OverlapperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = 100 * time.Millisecond
+	r, srv := testRouter(t, func(o *RouterOptions) {
+		o.LeaseTTL = ttl
+		o.ResultBytes = 64 // far below any real PAF of the test set
+	})
+	wk, err := NewWorker(WorkerOptions{RouterURL: srv.URL, Name: "w1", Overlapper: ov, PollWait: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); wk.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	st, _, err := r.Submit(Submission{Config: logan.DefaultOverlapConfig(5, 0.12, 15), Fasta: testFasta(t, 42, 30000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	got, _ := r.Status(st.ID)
+	for !TerminalState(got.State) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck: %+v", got)
+		}
+		time.Sleep(10 * time.Millisecond)
+		got, _ = r.Status(st.ID)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "-job-result-bytes") {
+		t.Fatalf("over-budget job: %+v, want failed naming -job-result-bytes", got)
+	}
+	// Several lease TTLs later nothing has expired or requeued: the one
+	// lease the job ever got was its only execution.
+	time.Sleep(5 * ttl)
+	got, _ = r.Status(st.ID)
+	if got.State != StateFailed || got.Requeues != 0 || r.t.requeues.Value() != 0 || r.t.expired.Value() != 0 {
+		t.Fatalf("over-budget job re-ran: %+v (requeues %v, expired %v)", got, r.t.requeues.Value(), r.t.expired.Value())
+	}
+	if ws := r.Workers(); len(ws) != 1 || ws[0].Failed != 1 || ws[0].Completed != 0 {
+		t.Fatalf("workers %+v, want one failure and no completion", ws)
+	}
+	if r.wal.Pending() != 0 {
+		t.Fatalf("WAL still holds %d records: the failed job was not acked", r.wal.Pending())
 	}
 }
 
@@ -518,12 +671,16 @@ func TestRouterReadyNeedsWorker(t *testing.T) {
 }
 
 func TestSubmitLimits(t *testing.T) {
-	r, _ := testRouter(t, func(o *RouterOptions) { o.MaxJobBytes = 16 })
+	for _, m := range routerModes {
+		t.Run(m.name, func(t *testing.T) { testSubmitLimits(t, m.mut) })
+	}
+}
+
+func testSubmitLimits(t *testing.T, mode func(*RouterOptions)) {
+	r, _ := testRouter(t, mode, func(o *RouterOptions) { o.MaxJobBytes = 16 })
 	_, _, err := r.Submit(Submission{
 		Config: logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open: func() (io.ReadCloser, error) {
-			return io.NopCloser(strings.NewReader(fmt.Sprintf(">r\n%s\n", strings.Repeat("A", 64)))), nil
-		},
+		Fasta:  []byte(fmt.Sprintf(">r\n%s\n", strings.Repeat("A", 64))),
 	})
 	if err == nil || !strings.Contains(err.Error(), "byte limit") {
 		t.Fatalf("oversized submit: %v", err)

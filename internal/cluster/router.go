@@ -15,11 +15,12 @@ import (
 	"logan/internal/telemetry"
 )
 
-// RouterOptions tunes the router tier. The zero value of every field
-// but QueuePath selects a production default.
+// RouterOptions tunes the router. The zero value of every field but
+// Registry selects a production default.
 type RouterOptions struct {
-	// QueuePath is the write-ahead queue file. Required: durability is
-	// the point of the router.
+	// QueuePath is the write-ahead queue file that makes accepted jobs
+	// survive a router restart. Empty keeps jobs in memory only: the
+	// single-node runtime, whose workers live and die with the router.
 	QueuePath string
 	// LeaseTTL is how long a worker may hold a job without extending
 	// its lease before the job requeues (default 10s). Workers extend
@@ -82,7 +83,7 @@ var workerNameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]+$`)
 
 // rjob is one routed job. All fields are guarded by Router.mu.
 type rjob struct {
-	spec     *Spec
+	spec     *Spec  // header fields only: Fasta is nil, payload holds it
 	payload  []byte // framed spec, as stored in the WAL
 	state    string
 	err      string
@@ -116,9 +117,8 @@ type workerState struct {
 	failed   int64
 }
 
-// routerTelemetry are the router's instruments. The logan_jobs_* names
-// deliberately match the single-node store's, so the /statz jobs block
-// and dashboards read the same series in both modes.
+// routerTelemetry are the router's instruments; the logan_jobs_* series
+// back the /statz jobs block.
 type routerTelemetry struct {
 	submitted, completed, failed, canceled, rejected *telemetry.Counter
 	pafBytes                                         *telemetry.Counter
@@ -127,12 +127,12 @@ type routerTelemetry struct {
 	staleLeases                                      *telemetry.Counter
 }
 
-// Router is the front tier's job store: durable admission, leased
-// dispatch to registered workers, lease-expiry requeue, and the
-// cluster-wide telemetry rollup. It implements JobStore.
+// Router is the job runtime's front tier: admission (durable when a
+// write-ahead queue is configured), leased dispatch to registered
+// workers, lease-expiry requeue, and the cluster-wide telemetry rollup.
 type Router struct {
 	opt RouterOptions
-	wal *queue.WAL
+	wal *queue.WAL // nil when memory-only
 	t   routerTelemetry
 
 	mu      sync.Mutex
@@ -151,19 +151,22 @@ type Router struct {
 }
 
 // NewRouter opens (or creates) the write-ahead queue at opt.QueuePath,
-// replays every pending job back into the queued state, and starts the
-// lease-expiry loop.
+// if one is configured, replays every pending job back into the queued
+// state, and starts the lease-expiry loop.
 func NewRouter(opt RouterOptions) (*Router, error) {
-	if opt.QueuePath == "" {
-		return nil, errors.New("cluster: RouterOptions.QueuePath is required")
-	}
 	if opt.Registry == nil {
 		return nil, errors.New("cluster: RouterOptions.Registry is required")
 	}
 	opt.defaults()
-	wal, recs, err := queue.Open(opt.QueuePath)
-	if err != nil {
-		return nil, err
+	var (
+		wal  *queue.WAL
+		recs []queue.Record
+	)
+	if opt.QueuePath != "" {
+		var err error
+		if wal, recs, err = queue.Open(opt.QueuePath); err != nil {
+			return nil, err
+		}
 	}
 	r := &Router{
 		opt:     opt,
@@ -200,9 +203,21 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		_, run := r.counts()
 		return float64(run)
 	})
-	reg.GaugeFunc("logan_cluster_queue_depth", "Pending records in the write-ahead queue.", func() float64 {
-		return float64(wal.Pending())
+	reg.GaugeFunc("logan_jobs_buffered_bytes", "Spec bytes (FASTA included) held by non-terminal jobs.", func() float64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return float64(r.pendingBytes)
 	})
+	reg.GaugeFunc("logan_jobs_result_bytes", "Serialized PAF bytes retained by finished jobs.", func() float64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return float64(r.resultBytes)
+	})
+	if wal != nil {
+		reg.GaugeFunc("logan_cluster_queue_depth", "Pending records in the write-ahead queue.", func() float64 {
+			return float64(wal.Pending())
+		})
+	}
 
 	// Replay: every unacked record becomes a queued job again. The spec
 	// carries tenant attribution and the idempotency key, so client
@@ -215,6 +230,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			wal.Ack(rec.ID)
 			continue
 		}
+		spec.Fasta = nil // payload is the only retained copy
 		j := &rjob{spec: spec, payload: rec.Payload, state: StateQueued, created: time.Now()}
 		r.jobs[spec.ID] = j
 		r.order = append(r.order, spec.ID)
@@ -224,6 +240,7 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			r.idem[spec.IdempotencyKey] = spec.ID
 		}
 		r.t.replayedWAL.Inc()
+		r.tenantGauge(spec.Tenant)
 	}
 
 	r.loopWG.Add(1)
@@ -293,7 +310,27 @@ func (r *Router) finishAccountingLocked(j *rjob) {
 		r.pendingBytes -= int64(len(j.payload))
 		j.payload = nil
 	}
-	r.wal.Ack(j.spec.ID)
+	if r.wal != nil {
+		r.wal.Ack(j.spec.ID)
+	}
+}
+
+// tenantGauge registers the logan_tenant_running_jobs{tenant=name}
+// gauge; registering it again swaps in an identical function. It takes
+// the registry lock, and a scrape holds that lock while the gauge takes
+// mu, so callers must not hold mu.
+func (r *Router) tenantGauge(name string) {
+	r.opt.Registry.GaugeFunc("logan_tenant_running_jobs", "Overlap jobs currently executing, by tenant.", func() float64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		n := 0
+		for _, j := range r.jobs {
+			if j.state == StateRunning && j.spec.Tenant == name {
+				n++
+			}
+		}
+		return float64(n)
+	}, telemetry.L("tenant", name))
 }
 
 // wakeLocked signals blocked pollers that the queue may have work.
@@ -302,10 +339,12 @@ func (r *Router) wakeLocked() {
 	r.wake = make(chan struct{})
 }
 
-// Submit implements JobStore: read the FASTA source in full, frame the
-// spec, fsync it to the WAL, and queue the job. The 202 a client sees
-// implies the job survives a router crash.
-func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
+// Submit admits one job: frame the spec, fsync it to the WAL (when
+// durable), and queue it — with a WAL, the 202 a client sees implies the
+// job survives a router crash. replayed reports an idempotency-key hit
+// (the returned status is the original job's). Admission rejections wrap
+// ErrStoreFull or ErrBusy.
+func (r *Router) Submit(sub Submission) (st JobStatus, replayed bool, err error) {
 	if sub.IdempotencyKey != "" {
 		r.mu.Lock()
 		if id, ok := r.idem[sub.IdempotencyKey]; ok {
@@ -318,16 +357,7 @@ func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
 		r.mu.Unlock()
 	}
 
-	src, err := sub.Open()
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	fasta, err := io.ReadAll(io.LimitReader(src, r.opt.MaxJobBytes+1))
-	src.Close()
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	if int64(len(fasta)) > r.opt.MaxJobBytes {
+	if int64(len(sub.Fasta)) > r.opt.MaxJobBytes {
 		return JobStatus{}, false, fmt.Errorf("cluster: job FASTA exceeds the %d-byte limit", r.opt.MaxJobBytes)
 	}
 	spec := &Spec{
@@ -335,12 +365,18 @@ func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
 		Tenant:         TenantName(sub.Tenant),
 		IdempotencyKey: sub.IdempotencyKey,
 		Config:         ConfigFromOverlap(sub.Config),
-		Fasta:          fasta,
+		Fasta:          sub.Fasta,
 	}
 	payload, err := spec.Marshal()
 	if err != nil {
 		return JobStatus{}, false, err
 	}
+	// The router needs only the header fields; payload is the one copy
+	// it keeps, charged to PendingBytes and freed when the job is
+	// terminal. Holding the upload buffer too would pin it, uncharged,
+	// until the record is evicted.
+	spec.Fasta = nil
+	r.tenantGauge(spec.Tenant)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -363,8 +399,10 @@ func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
 		r.t.rejected.Inc()
 		return JobStatus{}, false, ErrStoreFull
 	}
-	if err := r.wal.Append(spec.ID, payload); err != nil {
-		return JobStatus{}, false, err
+	if r.wal != nil {
+		if err := r.wal.Append(spec.ID, payload); err != nil {
+			return JobStatus{}, false, err
+		}
 	}
 	j := &rjob{spec: spec, payload: payload, state: StateQueued, created: time.Now()}
 	r.jobs[spec.ID] = j
@@ -430,7 +468,7 @@ func (r *Router) statusLocked(id string, j *rjob) JobStatus {
 	}
 }
 
-// Status implements JobStore.
+// Status reports the job's current state.
 func (r *Router) Status(id string) (JobStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -441,7 +479,8 @@ func (r *Router) Status(id string) (JobStatus, bool) {
 	return r.statusLocked(id, j), true
 }
 
-// PAF implements JobStore.
+// PAF returns the finished job's serialized result along with its
+// status; a job that is not done returns its status and a nil slice.
 func (r *Router) PAF(id string) ([]byte, JobStatus, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -456,8 +495,9 @@ func (r *Router) PAF(id string) ([]byte, JobStatus, bool) {
 	return j.paf, st, true
 }
 
-// Cancel implements JobStore: the job is forgotten immediately (404
-// from here on); a leased run learns at its next extend and aborts.
+// Cancel aborts the job if live and forgets it either way (404 from
+// here on); a leased run learns at its next extend and aborts. false
+// means the ID was unknown.
 func (r *Router) Cancel(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -484,8 +524,8 @@ func (r *Router) Cancel(id string) bool {
 // Retry-After.
 const jobDurationAlpha = 0.3
 
-// RetryAfter implements JobStore: average job duration spread over the
-// queue ahead of a new submission and the live worker count.
+// RetryAfter projects when a shed submission should retry: average job
+// duration spread over the queue ahead of it and the live worker count.
 func (r *Router) RetryAfter() time.Duration {
 	avg := r.t.avgDuration.Value()
 	if avg <= 0 {
@@ -497,8 +537,8 @@ func (r *Router) RetryAfter() time.Duration {
 	return min(max(d, time.Second), time.Minute)
 }
 
-// Ready implements JobStore: a router with no live worker would accept
-// jobs it cannot run.
+// Ready reports whether accepted jobs can make progress: a router with
+// no live worker would accept jobs it cannot run.
 func (r *Router) Ready() bool { return len(r.Workers()) > 0 }
 
 // counts reports queued/running jobs.
@@ -516,8 +556,9 @@ func (r *Router) counts() (queued, running int) {
 	return queued, running
 }
 
-// Close implements JobStore: stop the expiry loop and release the WAL.
-// Queued and running jobs stay in the log for the next router.
+// Close stops the expiry loop and releases the WAL. Queued and running
+// jobs stay in the log for the next router; a memory-only router drops
+// them.
 func (r *Router) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -529,7 +570,9 @@ func (r *Router) Close() {
 	r.wakeLocked()
 	r.mu.Unlock()
 	r.loopWG.Wait()
-	r.wal.Close()
+	if r.wal != nil {
+		r.wal.Close()
+	}
 }
 
 // WorkerInfo is one registered worker's public state, for /statz.
@@ -832,13 +875,21 @@ func (r *Router) handleExtend(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, extendResponse{})
 }
 
+// handleComplete publishes a finished job: the PAF body, the summary
+// headers, and the final progress (X-Logan-Progress, JSON), which the
+// extend cadence may never have carried for a short job.
 func (r *Router) handleComplete(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	lease := req.Header.Get("X-Logan-Lease")
 	paf, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.opt.ResultBytes))
-	if err != nil {
+	var tooBig *http.MaxBytesError
+	if err != nil && !errors.As(err, &tooBig) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
+	}
+	var prog Progress
+	if json.Unmarshal([]byte(req.Header.Get("X-Logan-Progress")), &prog) != nil {
+		prog = Progress{} // absent or malformed: keep the last extend's
 	}
 	overlaps, _ := strconv.Atoi(req.Header.Get("X-Logan-Overlaps"))
 	reads, _ := strconv.Atoi(req.Header.Get("X-Logan-Reads"))
@@ -860,18 +911,39 @@ func (r *Router) handleComplete(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "stale lease", http.StatusConflict)
 		return
 	}
-	j.state = StateDone
 	j.leaseID = ""
+	j.finished = time.Now()
+	if prog.Stage != "" {
+		j.progress = prog
+	}
+	ws := r.workers[req.Header.Get("X-Logan-Worker-Id")]
+	if ws != nil {
+		ws.seen = time.Now()
+	}
+	if tooBig != nil {
+		// Terminal, not a retry: every re-execution would produce the
+		// same oversized result.
+		j.state = StateFailed
+		j.err = fmt.Sprintf("result exceeds -job-result-bytes (%d bytes)", r.opt.ResultBytes)
+		if ws != nil {
+			ws.failed++
+		}
+		r.finishAccountingLocked(j)
+		r.t.failed.Inc()
+		msg := j.err
+		r.mu.Unlock()
+		http.Error(w, msg, http.StatusRequestEntityTooLarge)
+		return
+	}
+	j.state = StateDone
 	j.paf = paf
 	j.overlaps = overlaps
 	j.reads = reads
 	j.cells = cells
-	j.finished = time.Now()
 	if !j.started.IsZero() {
 		r.t.avgDuration.ObserveEWMA(j.finished.Sub(j.started).Seconds(), jobDurationAlpha)
 	}
-	if ws := r.workers[req.Header.Get("X-Logan-Worker-Id")]; ws != nil {
-		ws.seen = time.Now()
+	if ws != nil {
 		ws.done++
 	}
 	r.resultBytes += int64(len(paf))
@@ -920,5 +992,3 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
-
-var _ JobStore = (*Router)(nil)

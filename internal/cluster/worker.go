@@ -36,9 +36,15 @@ type WorkerOptions struct {
 	// Registry, when non-nil, is snapshotted into each heartbeat so the
 	// router can roll this worker's series into the cluster /metrics.
 	Registry *telemetry.Registry
-	// Client overrides the HTTP client (tests); nil uses a client with
-	// no overall timeout (long-polls hold connections open).
+	// Client overrides the HTTP client (tests, and in-process workers
+	// whose transport calls the router's handler directly); nil uses a
+	// client with no overall timeout (long-polls hold connections open).
 	Client *http.Client
+	// Tenants, when non-nil, resolves a job's tenant name to the front
+	// tier's tenant, which then rides the run's context so a coalescing
+	// Overlapper keeps the submitter's quota and fair share. Workers in
+	// other processes leave it nil.
+	Tenants func(name string) *logan.Tenant
 	// PollWait is the long-poll duration per work request (default 10s,
 	// capped router-side at 30s).
 	PollWait time.Duration
@@ -403,12 +409,19 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 		}
 	}()
 
-	res, runErr := w.opt.Overlapper.RunFasta(runCtx, bytes.NewReader(spec.Fasta), cfg)
+	execCtx := runCtx
+	if w.opt.Tenants != nil {
+		if ten := w.opt.Tenants(spec.Tenant); ten != nil {
+			execCtx = logan.WithTenant(runCtx, ten)
+		}
+	}
+	res, runErr := w.opt.Overlapper.RunFasta(execCtx, bytes.NewReader(spec.Fasta), cfg)
 	cancel()
 	extWG.Wait()
 
 	pmu.Lock()
 	routerCanceled := canceledByRouter
+	final, _ := json.Marshal(prog) // plain numbers and a string: cannot fail
 	pmu.Unlock()
 	if w.isKilled() || routerCanceled {
 		return
@@ -447,17 +460,23 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 		"X-Logan-Overlaps":  strconv.Itoa(len(res.Records)),
 		"X-Logan-Reads":     strconv.Itoa(res.Stats.Reads),
 		"X-Logan-Cells":     strconv.FormatInt(res.Stats.Cells, 10),
+		"X-Logan-Progress":  string(final),
 	}
 	resp, err := w.doBytes(ctx, "/cluster/jobs/"+jobID+"/complete", buf.Bytes(), hdr)
 	if err != nil {
 		w.logf("worker %s: job %s: complete: %v", w.opt.Name, jobID, err)
 		return
 	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		w.logf("worker %s: job %s: completion rejected (stale lease)", w.opt.Name, jobID)
-	} else {
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
 		w.logf("worker %s: job %s: done (%d overlaps, %d PAF bytes)", w.opt.Name, jobID, len(res.Records), buf.Len())
+	case http.StatusConflict:
+		w.logf("worker %s: job %s: completion rejected (stale lease)", w.opt.Name, jobID)
+	default:
+		// The router settled the job (e.g. failed it for an oversized
+		// result); re-running it would produce the same answer.
+		w.logf("worker %s: job %s: completion rejected: %v", w.opt.Name, jobID, httpErr(resp))
 	}
 }
 
